@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke bench bench-quick bench-smoke bench-scale bench-all examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke sched-dev bench bench-quick bench-smoke bench-scale bench-all examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -97,6 +97,16 @@ serve-chaos:
 # Deterministic fault seeds; see docs/distributed.md.
 dist-smoke:
 	PYTHONPATH=src python -m repro.dist.smoke
+
+# The batch scheduler's tests under development mode, with a leaked
+# process pipe or queue (ResourceWarning) turned into a failure.
+sched-dev:
+	PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -x -q \
+		tests/test_batch_runner.py \
+		tests/test_dist.py::TestShardScheduler \
+		tests/test_dist.py::TestBatchDedup \
+		tests/test_dist.py::TestRunJobs \
+		tests/test_chaos.py::TestBatchChaos
 
 bench:
 	pytest benchmarks/ --benchmark-only

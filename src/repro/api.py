@@ -24,9 +24,10 @@ request shape must cross the wire.  This module defines that shape:
   the winning strategy label, the audit verdict, and cache provenance.
 * :func:`solve` / :func:`solve_batch` — the single front door.  One
   strategy dispatches to the pipeline, several race as a portfolio, and
-  a sequence of requests fans out over the batch runner.  The network
-  server (:mod:`repro.serve`) speaks exactly these shapes via
-  ``to_wire``/``from_wire``.
+  a sequence of requests fans out over the batch scheduler
+  (:func:`repro.bench.batch.run_batch`, one or more work-stealing
+  shard queues).  The network server (:mod:`repro.serve`) speaks
+  exactly these shapes via ``to_wire``/``from_wire``.
 
 The pre-1.6 entrypoints remain importable (they are the engines this
 module routes through); the *boolean* compatibility shims from the 1.1
@@ -388,7 +389,7 @@ def solve_batch(requests: Sequence[SolveRequest],
                 audit: bool = False,
                 num_shards: int = 1,
                 **batch_kwargs) -> List[SolveResponse]:
-    """Fan a request sequence over the distributed shard scheduler.
+    """Fan a request sequence over the batch scheduler.
 
     Each request expands to one batch job per member strategy; a
     request's response aggregates its jobs the way a portfolio would
@@ -397,14 +398,12 @@ def solve_batch(requests: Sequence[SolveRequest],
     scheduler's ``job_timeout``/retry/quarantine machinery applies
     unchanged.  Always returns one response per request, in order.
 
-    ``num_shards=1`` (the default) is the flat pool of the historical
-    :func:`repro.bench.batch.run_batch`; larger values split the jobs
-    over that many locality-aware work-stealing queues
-    (:func:`repro.dist.scheduler.run_sharded`), which pays off when the
-    corpus is large and instances repeat.
+    The jobs run through :func:`repro.bench.batch.run_batch`, whose
+    ``max_workers`` slots are spread over ``num_shards`` locality-aware
+    work-stealing queues: one queue (the default) is a single pool;
+    more pay off when the corpus is large and instances repeat.
     """
-    from .bench.batch import BatchJob
-    from .dist.scheduler import run_sharded
+    from .bench.batch import BatchJob, run_batch
     jobs: List[BatchJob] = []
     names: List[str] = []
     pooled = limits if limits is not None else SolveLimits()
@@ -428,9 +427,9 @@ def solve_batch(requests: Sequence[SolveRequest],
     effective = per_request_limits[0] if per_request_limits else None
     if effective is not None and effective.unlimited:
         effective = None
-    result = run_sharded(jobs, num_shards=num_shards,
-                         max_workers=max_workers, job_timeout=job_timeout,
-                         limits=effective, audit=audit, **batch_kwargs)
+    result = run_batch(jobs, num_shards=num_shards,
+                       max_workers=max_workers, job_timeout=job_timeout,
+                       limits=effective, audit=audit, **batch_kwargs)
 
     responses: List[SolveResponse] = []
     for index, request in enumerate(requests):

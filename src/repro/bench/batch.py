@@ -7,6 +7,16 @@ strategy) pair over a bounded worker pool, each job under its own budget
 and deadline, and come back with a complete status table even when some
 jobs time out, crash, or the whole batch is cancelled midway.
 
+The pool is split over ``num_shards`` work-stealing queues (one queue by
+default).  Jobs land on a *home shard* by a stable hash of their
+instance name — so every solve of one instance (strategy sweeps,
+retries, re-submissions) queues on the same shard — and each shard
+launches from the *head* of its own deque.  A shard whose own queue is
+empty steals from the *tail* of the longest backlog: the head is where
+the owner's locality lives, the tail is where the coldest work sits.
+``max_workers`` is spread over the shards, so the worker slots always
+sum to exactly ``max_workers``.
+
 Guarantees:
 
 * **Per-job deadlines** — ``job_timeout`` becomes each job's
@@ -14,8 +24,9 @@ Guarantees:
   its :class:`CancelToken` (so it reports TIMEOUT with partial stats)
   and hard-terminated only if it ignores the token past a grace period.
 * **Retry on crash** — a worker that dies without reporting (segfault,
-  OOM kill) is retried up to ``max_attempts`` times; only then is the
-  job recorded as ERROR.
+  OOM kill, an injected ``crash@worker`` / ``crash@dist_shard``) is
+  requeued at the head of its home shard, up to ``max_attempts`` times;
+  only then is the job recorded as ERROR.
 * **Graceful partial results** — a batch deadline or an external cancel
   token stops scheduling, winds down running jobs cooperatively, and
   returns everything finished so far, with unstarted jobs listed in
@@ -27,25 +38,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_module
 import time
+import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..coloring.problem import ColoringProblem
 from ..core.pipeline import ColoringOutcome, solve_coloring
+from ..core.portfolio import _worker_injector
 from ..core.strategy import Strategy
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.status import CancelToken, SolveLimits, SolveStatus
-
-def _unpack(item):
-    """Unpack a result-queue item: ``(key, outcome, error)`` from
-    historical senders (test doubles), plus the telemetry slot the
-    current workers append."""
-    key, outcome, error = item[0], item[1], item[2]
-    telemetry = item[3] if len(item) > 3 else None
-    return key, outcome, error, telemetry
-
 
 #: Queue-wait interval of the scheduler loop.
 _POLL_SECONDS = 0.05
@@ -108,6 +113,12 @@ class BatchResult:
     #: Per-strategy health snapshot (offences, successes, backoff) from
     #: the quarantine tracker, by strategy label.
     quarantine: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    #: Per-shard counters, by shard name ("shard0", ...): worker
+    #: ``slots`` plus ``queued`` / ``launched`` / ``stolen`` /
+    #: ``completed`` / ``requeued`` job counts.
+    shards: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Jobs launched away from their home shard.
+    steals: int = 0
 
     def __post_init__(self) -> None:
         self.by_key: Dict[Tuple[str, str], BatchJobResult] = {
@@ -133,16 +144,27 @@ class BatchResult:
                                         for r in self.results)
 
 
-def _batch_worker(job: BatchJob, queue: "mp.Queue", cancel_event,
-                  limits: Optional[SolveLimits], strategy=None,
-                  faults=None, audit: bool = False) -> None:
-    strategy = strategy if strategy is not None else job.strategy
+def shard_of(instance: str, num_shards: int) -> int:
+    """The home shard of an instance: a stable content hash, so the
+    same instance always queues on the same shard across runs and
+    processes (CRC32 is seed- and ``PYTHONHASHSEED``-independent)."""
+    return zlib.crc32(instance.encode("utf-8")) % num_shards
+
+
+def _worker(job: BatchJob, queue: "mp.Queue", cancel_event,
+            limits: Optional[SolveLimits], strategy: Strategy,
+            faults=None, audit: bool = False) -> None:
+    """Solve one job in a worker process and report on ``queue``.
+
+    Answers the ``worker`` and ``dist_shard`` fault sites (a ``crash``
+    there kills the process unreported, a ``hang`` ignores the cancel
+    token)."""
     # Fresh observability state for this process (fork inherits the
     # parent's buffers); spans and metrics travel back on the queue.
     obs.worker_begin()
     try:
-        from ..core.portfolio import _worker_injector
-        injector = _worker_injector(faults, strategy)
+        injector = _worker_injector(faults, strategy,
+                                    extra_sites=("dist_shard",))
         if injector is not None:
             injector.maybe_exit()
             injector.maybe_hang()
@@ -162,42 +184,43 @@ def _batch_worker(job: BatchJob, queue: "mp.Queue", cancel_event,
         queue.put((job.key, None, repr(error), obs.drain_telemetry()))
 
 
+class _Entry:
+    """One queued attempt (home shard remembered across requeues)."""
+
+    __slots__ = ("job", "shard", "attempt", "strategy", "not_before")
+
+    def __init__(self, job: BatchJob, shard: int, attempt: int = 1,
+                 strategy: Optional[Strategy] = None,
+                 not_before: float = 0.0) -> None:
+        self.job = job
+        self.shard = shard
+        self.attempt = attempt
+        #: Strategy actually run this attempt — differs from
+        #: ``job.strategy`` after an engine fallback; results stay keyed
+        #: by the original ``job.key``.
+        self.strategy = strategy if strategy is not None else job.strategy
+        #: Monotonic timestamp before which this entry may not launch
+        #: (quarantine backoff of its strategy).
+        self.not_before = not_before
+
+
 class _Running:
     """Scheduler-side state of one in-flight job."""
 
-    __slots__ = ("job", "process", "cancel_event", "started",
-                 "deadline", "hard_deadline", "attempt", "strategy")
+    __slots__ = ("entry", "shard", "process", "cancel_event", "started",
+                 "deadline", "hard_deadline")
 
-    def __init__(self, job: BatchJob, process: "mp.Process", cancel_event,
-                 started: float, deadline: Optional[float],
-                 attempt: int, strategy: Strategy) -> None:
-        self.job = job
+    def __init__(self, entry: _Entry, shard: int, process, cancel_event,
+                 started: float, deadline: Optional[float]) -> None:
+        self.entry = entry
+        #: Shard whose worker slot this job occupies (the thief's, on a
+        #: stolen launch — the home shard stays on the entry).
+        self.shard = shard
         self.process = process
         self.cancel_event = cancel_event
         self.started = started
         self.deadline = deadline
         self.hard_deadline: Optional[float] = None
-        self.attempt = attempt
-        #: Strategy actually run this attempt — differs from
-        #: ``job.strategy`` after an engine fallback; results stay keyed
-        #: by the original ``job.key``.
-        self.strategy = strategy
-
-
-class _Waiting:
-    """Scheduler-side state of one not-yet-launched (or requeued) job."""
-
-    __slots__ = ("job", "attempt", "strategy", "not_before")
-
-    def __init__(self, job: BatchJob, attempt: int = 1,
-                 strategy: Optional[Strategy] = None,
-                 not_before: float = 0.0) -> None:
-        self.job = job
-        self.attempt = attempt
-        self.strategy = strategy if strategy is not None else job.strategy
-        #: Monotonic timestamp before which this entry may not launch
-        #: (quarantine backoff of its strategy).
-        self.not_before = not_before
 
 
 def jobs_for(instances: Sequence, strategies: Sequence[Strategy],
@@ -265,7 +288,8 @@ def run_batch(jobs: Sequence[BatchJob],
               audit: bool = False, faults=None,
               quarantine=None,
               engine_fallback: bool = True,
-              dedup: bool = True) -> BatchResult:
+              dedup: bool = True,
+              num_shards: int = 1) -> BatchResult:
     """Run every job over a worker pool; always returns a full table.
 
     ``job_timeout`` bounds each job's wall clock (merged into
@@ -298,11 +322,21 @@ def run_batch(jobs: Sequence[BatchJob],
     :meth:`repro.api.SolveRequest.cache_key` — to a single dispatch and
     fans its result back out to every duplicate, so a corpus with
     repeated instances no longer pays for redundant solves.
+
+    ``num_shards`` splits the pool into that many work-stealing queues
+    (see the module docstring).  ``max_workers`` (default: one less
+    than the CPU count, and at least ``num_shards``) is spread over the
+    shards: each gets ``max_workers // num_shards`` slots and the first
+    ``max_workers % num_shards`` one more, so a shard may have none and
+    then drains only by being stolen from.  The result's ``shards``
+    entries report each shard's slots and counters.
     """
+    if num_shards < 1:
+        raise ValueError("num_shards must be positive")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     if max_workers is None:
-        max_workers = max(1, (mp.cpu_count() or 2) - 1)
+        max_workers = max(num_shards, (mp.cpu_count() or 2) - 1)
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     fanout: Dict[int, List[BatchJob]] = {}
@@ -310,26 +344,27 @@ def run_batch(jobs: Sequence[BatchJob],
     if dedup and len(jobs) > 1:
         jobs, fanout = _dedup_jobs(jobs, limits, job_timeout)
         duplicates = sum(len(dupes) for dupes in fanout.values())
-    with trace.span("batch.run", jobs=len(jobs), workers=max_workers,
-                    audit=audit, deduped=duplicates) as batch_span:
-        result = _run_batch_in_span(
-            batch_span, jobs, max_workers, job_timeout, limits,
+    with trace.span("dist.schedule", jobs=len(jobs), shards=num_shards,
+                    workers=max_workers, audit=audit,
+                    deduped=duplicates) as span:
+        result = _schedule_in_span(
+            span, jobs, num_shards, max_workers, job_timeout, limits,
             max_attempts, timeout, cancel, audit, faults, quarantine,
             engine_fallback)
         if fanout:
             _fan_out_duplicates(result, fanout)
-        batch_span.set("settled", len(result.results))
-        batch_span.set("cancelled", result.cancelled)
+        span.set("settled", len(result.results))
+        span.set("steals", result.steals)
+        span.set("cancelled", result.cancelled)
         if obs_metrics.enabled():
             registry = obs_metrics.registry()
-            registry.inc("batch.runs")
-            registry.inc("batch.jobs", len(result.results))
-            registry.inc("batch.jobs_pending", len(result.pending))
+            registry.inc("dist.schedules")
+            registry.inc("dist.jobs", len(result.results))
             if duplicates:
                 registry.inc("batch.deduped", duplicates)
             for status, count in result.status_counts().items():
-                registry.inc(f"batch.status.{status}", count)
-            registry.observe("batch.wall_time", result.wall_time)
+                registry.inc(f"dist.status.{status}", count)
+            registry.observe("dist.wall_time", result.wall_time)
         return result
 
 
@@ -355,15 +390,15 @@ def _fan_out_duplicates(result: BatchResult,
     result.by_key = {r.key: r for r in result.results}
 
 
-def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
-                       max_workers: int, job_timeout: Optional[float],
-                       limits: Optional[SolveLimits], max_attempts: int,
-                       timeout: Optional[float],
-                       cancel: Optional[CancelToken], audit: bool, faults,
-                       quarantine, engine_fallback: bool) -> BatchResult:
+def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
+                      max_workers: int, job_timeout: Optional[float],
+                      limits: Optional[SolveLimits], max_attempts: int,
+                      timeout: Optional[float],
+                      cancel: Optional[CancelToken], audit: bool, faults,
+                      quarantine, engine_fallback: bool) -> BatchResult:
     """:func:`run_batch` scheduler loop, inside its already-open span.
 
-    Job lifecycle transitions — launch, settle, retry/requeue (with
+    Job lifecycle transitions — launch, steal, settle, requeue (with
     backoff and engine fallback), per-job deadline kills, unreported
     worker deaths and batch-level cancellation — become span events, and
     the telemetry each worker ships back (span tree + metrics snapshot)
@@ -378,75 +413,126 @@ def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
     start = time.perf_counter()
     batch_deadline = None if timeout is None else start + timeout
 
-    waiting: List[_Waiting] = [_Waiting(job) for job in jobs]
-    waiting.reverse()  # pop() from the end preserves submission order
+    queues: List[Deque[_Entry]] = [deque() for _ in range(num_shards)]
+    for job in jobs:
+        home = shard_of(job.instance, num_shards)
+        queues[home].append(_Entry(job, home))
+    slots = [max_workers // num_shards
+             + (1 if s < max_workers % num_shards else 0)
+             for s in range(num_shards)]
+    busy = [0] * num_shards
     running: Dict[Tuple[str, str], _Running] = {}
     results: List[BatchJobResult] = []
+    stats = [{"slots": slots[s], "queued": len(queues[s]), "launched": 0,
+              "stolen": 0, "completed": 0, "requeued": 0}
+             for s in range(num_shards)]
+    steals = 0
     stopping = False
 
-    def _launch(pending_entry: _Waiting) -> None:
-        job = pending_entry.job
+    def _take(queue: Deque[_Entry], now: float,
+              from_tail: bool) -> Optional[_Entry]:
+        """Remove and return the first launchable entry from one end of
+        ``queue``, stepping past backoff-blocked / quarantined ones
+        without reordering them."""
+        order = range(len(queue) - 1, -1, -1) if from_tail \
+            else range(len(queue))
+        for index in order:
+            entry = queue[index]
+            if entry.not_before <= now and not tracker.quarantined(
+                    entry.job.strategy.label, now):
+                del queue[index]
+                return entry
+        return None
+
+    def _steal(thief: int, now: float) -> Optional[_Entry]:
+        """A launchable entry from the tail of the longest other queue."""
+        donors = sorted((s for s in range(num_shards)
+                         if s != thief and queues[s]),
+                        key=lambda s: -len(queues[s]))
+        for donor in donors:
+            entry = _take(queues[donor], now, from_tail=True)
+            if entry is not None:
+                return entry
+        return None
+
+    def _launch(entry: _Entry, shard: int, stolen: bool) -> None:
+        nonlocal steals
+        job = entry.job
         cancel_event = context.Event()
         process = context.Process(
-            target=_batch_worker,
+            target=_worker,
             args=(job, result_queue, cancel_event, job_limits,
-                  pending_entry.strategy, faults, audit),
+                  entry.strategy, faults, audit),
             daemon=True)
         now = time.perf_counter()
         deadline = None if job_timeout is None else now + job_timeout
-        running[job.key] = _Running(job, process, cancel_event, now,
-                                    deadline, pending_entry.attempt,
-                                    pending_entry.strategy)
+        running[job.key] = _Running(entry, shard, process, cancel_event,
+                                    now, deadline)
+        busy[shard] += 1
         process.start()
+        stats[shard]["launched"] += 1
+        if stolen:
+            steals += 1
+            stats[shard]["stolen"] += 1
+            trace.event("dist.steal", instance=job.instance,
+                        home=entry.shard, thief=shard)
+            if obs_metrics.enabled():
+                obs_metrics.registry().inc("dist.steal")
         trace.event("job.launched", instance=job.instance,
-                    strategy=pending_entry.strategy.label,
-                    engine=pending_entry.strategy.engine,
-                    attempt=pending_entry.attempt)
+                    strategy=entry.strategy.label, shard=shard,
+                    attempt=entry.attempt)
 
-    def _settle(entry: _Running, outcome: Optional[ColoringOutcome],
+    def _forget(record: _Running) -> None:
+        del running[record.entry.job.key]
+        busy[record.shard] -= 1
+
+    def _settle(record: _Running, outcome: Optional[ColoringOutcome],
                 error: Optional[str],
                 forced_status: Optional[SolveStatus] = None,
                 audit_report=None) -> None:
-        wall = time.perf_counter() - entry.started
+        entry = record.entry
         if forced_status is not None:
             status = forced_status
         elif error is not None:
             status = SolveStatus.ERROR
         else:
             status = outcome.status
-        results.append(BatchJobResult(job=entry.job, status=status,
-                                      outcome=outcome, wall_time=wall,
-                                      attempts=entry.attempt, error=error,
-                                      audit=audit_report,
-                                      engine=entry.strategy.engine))
-        del running[entry.job.key]
+        results.append(BatchJobResult(
+            job=entry.job, status=status, outcome=outcome,
+            wall_time=time.perf_counter() - record.started,
+            attempts=entry.attempt, error=error, audit=audit_report,
+            engine=entry.strategy.engine))
+        stats[record.shard]["completed"] += 1
+        _forget(record)
         trace.event("job.settled", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, status=str(status),
-                    attempts=entry.attempt,
+                    shard=record.shard, attempts=entry.attempt,
                     **({"error": error} if error else {}))
 
-    def _requeue(entry: _Running) -> None:
-        """Put a failed attempt back on the queue: possibly on the
-        fallback engine, and not before its quarantine backoff ends."""
+    def _requeue(record: _Running) -> None:
+        """A failed attempt goes back to the *head of its home shard*
+        (locality survives the crash), engine-fallen-back and delayed
+        by its strategy's quarantine backoff."""
+        entry = record.entry
         strategy = entry.strategy
         if engine_fallback and strategy.engine == "arena":
             strategy = strategy.with_engine("legacy")
         not_before = tracker.release_time(entry.job.strategy.label)
-        waiting.insert(0, _Waiting(
-            entry.job, entry.attempt + 1, strategy,
+        queues[entry.shard].appendleft(_Entry(
+            entry.job, entry.shard, entry.attempt + 1, strategy,
             not_before=not_before))
-        del running[entry.job.key]
+        stats[entry.shard]["requeued"] += 1
+        _forget(record)
         trace.event("job.requeued", instance=entry.job.instance,
-                    strategy=entry.job.strategy.label,
-                    next_attempt=entry.attempt + 1, engine=strategy.engine,
-                    backoff=round(max(0.0, not_before - time.perf_counter()),
-                                  3))
+                    strategy=entry.job.strategy.label, shard=entry.shard,
+                    next_attempt=entry.attempt + 1, engine=strategy.engine)
         if obs_metrics.enabled():
-            obs_metrics.registry().inc("batch.retries")
+            obs_metrics.registry().inc("dist.requeues")
 
-    def _report(entry: _Running, outcome: Optional[ColoringOutcome],
+    def _report(record: _Running, outcome: Optional[ColoringOutcome],
                 error: Optional[str]) -> None:
         """Consume one worker report: audit it, then settle or retry."""
+        entry = record.entry
         status = SolveStatus.ERROR if error is not None else outcome.status
         audit_report = None
         if audit and error is None and outcome.status.decided:
@@ -465,16 +551,16 @@ def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
             tracker.record_offence(entry.job.strategy.label, detail,
                                    time.perf_counter())
             if entry.attempt < max_attempts and not stopping:
-                _requeue(entry)
+                _requeue(record)
             else:
-                _settle(entry, outcome, detail, audit_report=audit_report)
+                _settle(record, outcome, detail, audit_report=audit_report)
             return
         if status.decided:
             tracker.record_success(entry.job.strategy.label)
-        _settle(entry, outcome, error, audit_report=audit_report)
+        _settle(record, outcome, error, audit_report=audit_report)
 
     try:
-        while running or (waiting and not stopping):
+        while running or (any(queues) and not stopping):
             now = time.perf_counter()
             externally_stopped = (
                 (batch_deadline is not None and now >= batch_deadline)
@@ -482,114 +568,112 @@ def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
             if externally_stopped and not stopping:
                 # Stop scheduling; ask every running job to wind down.
                 stopping = True
-                trace.event("batch.stopping",
-                            reason=("deadline" if batch_deadline is not None
-                                    and now >= batch_deadline else "cancel"),
-                            running=len(running), waiting=len(waiting))
-                for entry in running.values():
-                    entry.cancel_event.set()
-                    if entry.hard_deadline is None:
-                        entry.hard_deadline = now + _CANCEL_GRACE_SECONDS
-            while waiting and not stopping and len(running) < max_workers:
-                # Scan back-to-front (submission order) for an entry
-                # that is past its backoff and not quarantined.
-                index = None
-                for i in range(len(waiting) - 1, -1, -1):
-                    candidate = waiting[i]
-                    if candidate.not_before > now:
-                        continue
-                    if tracker.quarantined(candidate.job.strategy.label,
-                                           now):
-                        continue
-                    index = i
-                    break
-                if index is None:
-                    break
-                _launch(waiting.pop(index))
-            for entry in list(running.values()):
-                if entry.deadline is not None and now >= entry.deadline \
-                        and not entry.cancel_event.is_set():
+                trace.event("dist.stopping", running=len(running),
+                            waiting=sum(len(q) for q in queues))
+                for record in running.values():
+                    record.cancel_event.set()
+                    if record.hard_deadline is None:
+                        record.hard_deadline = now + _CANCEL_GRACE_SECONDS
+            if not stopping:
+                for shard in range(num_shards):
+                    while busy[shard] < slots[shard]:
+                        # Own queue first; steal only once it is empty.
+                        entry = _take(queues[shard], now, from_tail=False)
+                        stolen = False
+                        if entry is None and not queues[shard]:
+                            entry = _steal(shard, now)
+                            stolen = entry is not None
+                        if entry is None:
+                            break
+                        _launch(entry, shard, stolen)
+            for record in list(running.values()):
+                if record.deadline is not None and now >= record.deadline \
+                        and not record.cancel_event.is_set():
                     # Per-job deadline: cooperative stop, then backstop.
-                    entry.cancel_event.set()
-                    entry.hard_deadline = now + _CANCEL_GRACE_SECONDS
-                if entry.hard_deadline is not None \
-                        and now >= entry.hard_deadline:
-                    if entry.process.is_alive():
-                        entry.process.terminate()
-                        entry.process.join(timeout=5)
+                    record.cancel_event.set()
+                    record.hard_deadline = now + _CANCEL_GRACE_SECONDS
+                if record.hard_deadline is not None \
+                        and now >= record.hard_deadline:
+                    if record.process.is_alive():
+                        record.process.terminate()
+                        record.process.join(timeout=5)
                         trace.event("job.terminated",
-                                    instance=entry.job.instance,
-                                    strategy=entry.job.strategy.label,
+                                    instance=record.entry.job.instance,
                                     reason="ignored cancel past grace")
-                    _settle(entry, None, None,
+                    _settle(record, None, None,
                             forced_status=SolveStatus.TIMEOUT)
             if not running:
-                if waiting and not stopping:
+                if any(queues) and not stopping:
                     # Everything launchable is backoff-blocked: wait the
                     # poll interval out instead of spinning.
                     time.sleep(_POLL_SECONDS)
                 continue
             try:
-                key, outcome, error, telemetry = _unpack(
-                    result_queue.get(timeout=_POLL_SECONDS))
+                key, outcome, error, telemetry = result_queue.get(
+                    timeout=_POLL_SECONDS)
             except queue_module.Empty:
                 # A worker that died unreported can never answer: drain
                 # its pipe once, then retry the job or record ERROR.
-                for entry in list(running.values()):
-                    if entry.process.is_alive():
+                for record in list(running.values()):
+                    if record.process.is_alive():
                         continue
-                    entry.process.join()
+                    record.process.join()
                     try:
-                        key, outcome, error, telemetry = _unpack(
-                            result_queue.get(timeout=_DRAIN_SECONDS))
+                        key, outcome, error, telemetry = result_queue.get(
+                            timeout=_DRAIN_SECONDS)
                     except queue_module.Empty:
                         reason = (f"worker died without reporting "
-                                  f"(exit code {entry.process.exitcode})")
-                        trace.event("job.died", instance=entry.job.instance,
-                                    strategy=entry.job.strategy.label,
-                                    exit_code=entry.process.exitcode)
-                        tracker.record_offence(entry.job.strategy.label,
-                                               reason, time.perf_counter())
-                        if entry.attempt < max_attempts and not stopping:
-                            _requeue(entry)
+                                  f"(exit code {record.process.exitcode})")
+                        trace.event("job.died",
+                                    instance=record.entry.job.instance,
+                                    shard=record.shard,
+                                    exit_code=record.process.exitcode)
+                        tracker.record_offence(
+                            record.entry.job.strategy.label, reason,
+                            time.perf_counter())
+                        if record.entry.attempt < max_attempts \
+                                and not stopping:
+                            _requeue(record)
                         else:
-                            _settle(entry, None, reason)
+                            _settle(record, None, reason)
                     else:
-                        obs.ingest_telemetry(telemetry, batch_span.span_id)
+                        obs.ingest_telemetry(telemetry, span.span_id)
                         if key in running:
                             _report(running[key], outcome, error)
                     break
                 continue
-            obs.ingest_telemetry(telemetry, batch_span.span_id)
+            obs.ingest_telemetry(telemetry, span.span_id)
             if key in running:  # late report after a hard kill: ignore
                 _report(running[key], outcome, error)
     finally:
-        for entry in running.values():
-            entry.cancel_event.set()
+        for record in running.values():
+            record.cancel_event.set()
         grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for entry in running.values():
+        for record in running.values():
             remaining = grace_until - time.perf_counter()
             if remaining > 0:
-                entry.process.join(timeout=remaining)
-        for entry in list(running.values()):
-            if entry.process.is_alive():
-                entry.process.terminate()
-                trace.event("job.terminated", instance=entry.job.instance,
-                            strategy=entry.job.strategy.label,
+                record.process.join(timeout=remaining)
+        for record in list(running.values()):
+            if record.process.is_alive():
+                record.process.terminate()
+                trace.event("job.terminated",
+                            instance=record.entry.job.instance,
                             reason="straggler after batch end")
-            entry.process.join(timeout=5)
-            _settle(entry, None, None, forced_status=SolveStatus.TIMEOUT)
+            record.process.join(timeout=5)
+            _settle(record, None, None, forced_status=SolveStatus.TIMEOUT)
         # Cancelled jobs that wound down cooperatively may still have
         # telemetry in the pipe: drain it so their spans are not lost.
         while True:
             try:
-                _, _, _, telemetry = _unpack(result_queue.get_nowait())
+                telemetry = result_queue.get_nowait()[3]
             except queue_module.Empty:
                 break
-            obs.ingest_telemetry(telemetry, batch_span.span_id)
+            obs.ingest_telemetry(telemetry, span.span_id)
 
-    pending = [entry.job for entry in reversed(waiting)]
-    return BatchResult(results=results, pending=pending,
-                       cancelled=stopping,
-                       wall_time=time.perf_counter() - start,
-                       quarantine=tracker.snapshot())
+    pending = [entry.job for queue in queues for entry in queue]
+    return BatchResult(
+        results=results, pending=pending, cancelled=stopping,
+        wall_time=time.perf_counter() - start,
+        quarantine=tracker.snapshot(),
+        shards={f"shard{s}": stats[s] for s in range(num_shards)},
+        steals=steals)

@@ -2,8 +2,10 @@
 
 Three cooperating parallelism modes behind one scheduler:
 
-* **Work-stealing shards** (:mod:`repro.dist.scheduler`) — many jobs,
-  locality-aware queues, crash-tolerant requeue.  The throughput layer.
+* **Work-stealing shards** (:func:`run_sharded`, the
+  :func:`repro.bench.batch.run_batch` scheduler over several queues) —
+  many jobs, locality-aware queues, crash-tolerant requeue.  The
+  throughput layer.
 * **Clause-sharing portfolios** (:mod:`repro.dist.sharing`,
   :mod:`repro.dist.portfolio`) — one hard instance, seed-diverse
   members exchanging short learned clauses.  The latency layer for
@@ -26,14 +28,14 @@ import time
 from typing import Optional, Sequence
 
 from ..bench.batch import (BatchJob, BatchJobResult, BatchResult,
-                           _dedup_jobs, _fan_out_duplicates)
+                           _dedup_jobs, _fan_out_duplicates, run_batch,
+                           shard_of)
 from ..core.pipeline import ColoringOutcome
 from ..obs import trace
 from ..sat.status import SolveLimits
 from .cubes import (Cube, CubePlan, CubeResult, cube_tree, generate_cubes,
                     run_cubed)
 from .portfolio import run_cooperative, seed_diverse_members
-from .scheduler import ShardedResult, run_sharded, shard_of
 from .sharing import (ClauseHub, ClauseImportFilter, LoopbackChannel,
                       ShareConfig)
 
@@ -46,6 +48,18 @@ __all__ = [
     "run_cubed",
     "run_jobs",
 ]
+
+
+#: The result of :func:`run_sharded` — the batch result, which carries
+#: the per-shard counters and the steal total.
+ShardedResult = BatchResult
+
+
+def run_sharded(jobs: Sequence[BatchJob], num_shards: int = 2,
+                **batch_kwargs) -> BatchResult:
+    """:func:`repro.bench.batch.run_batch` over ``num_shards``
+    work-stealing shard queues (two by default)."""
+    return run_batch(jobs, num_shards=num_shards, **batch_kwargs)
 
 
 def _cube_outcome(job: BatchJob, cube: CubeResult) -> ColoringOutcome:
@@ -80,7 +94,8 @@ def run_jobs(jobs: Sequence[BatchJob], workers: int = 1,
       is where the speedup lives, and it compounds with the extra
       cores.
     * ``"off"``: always the shard scheduler (``num_shards`` queues,
-      default ``min(workers, 2)``), workers spread across shards.
+      default ``min(workers, 2)``), the ``workers`` slots spread across
+      the shards.
     * ``"always"``: cube-split every job even at one worker.
 
     ``share`` threads a :class:`ShareConfig` (or True) into the cube
@@ -96,8 +111,7 @@ def run_jobs(jobs: Sequence[BatchJob], workers: int = 1,
     if not cubing:
         shards = num_shards if num_shards is not None else min(workers, 2)
         return run_sharded(
-            jobs, num_shards=shards,
-            workers_per_shard=max(1, workers // shards),
+            jobs, num_shards=shards, max_workers=workers,
             job_timeout=job_timeout, limits=limits, timeout=timeout,
             faults=faults, dedup=dedup, **shard_kwargs)
 

@@ -52,7 +52,7 @@ def main() -> int:
     # Every arena attempt at the dist_shard site crashes; the legacy
     # fallback label escapes the match, so attempt 2 must succeed.
     result = run_sharded(
-        jobs, num_shards=2, workers_per_shard=1,
+        jobs, num_shards=2, max_workers=2,
         quarantine=QuarantinePolicy(threshold=5, base_backoff=0.05,
                                     max_backoff=0.2),
         faults=FaultPlan.parse("seed=3; crash@dist_shard:match=*/s1"))

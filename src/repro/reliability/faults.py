@@ -100,10 +100,10 @@ path), ``inprocess`` (the inter-restart simplification phases),
 portfolio / batch worker process itself), ``serve_worker`` (the solve
 service's pool worker), ``journal`` (the serve request journal's
 appends), ``conn`` (the serve connection layer, both ends),
-``dist_shard`` (a shard worker of the distributed scheduler — the
-usual targets are ``crash`` and ``hang``), ``clause_channel`` (the
-clause-sharing transport between portfolio / cube members), or ``*``
-(everywhere).
+``dist_shard`` (every batch worker of ``run_batch`` / ``run_sharded``,
+and the cube workers — the usual targets are ``crash`` and ``hang``),
+``clause_channel`` (the clause-sharing transport between portfolio /
+cube members), or ``*`` (everywhere).
 
 ``REPRO_FAULTS`` grammar (items separated by ``;``)::
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.bench.batch import run_batch
 from repro.coloring import ColoringProblem, complete_graph, cycle_graph
 from repro.core import Strategy
 from repro.core.encodings.registry import get_encoding
@@ -14,6 +16,7 @@ from repro.dist import (BatchJob, ClauseImportFilter, LoopbackChannel,
                         run_jobs, run_sharded, seed_diverse_members,
                         shard_of)
 from repro.dist.sharing import ClauseHub
+from repro.obs import trace
 from repro.qa.generators import conflict_instances
 from repro.reliability.faults import FaultPlan
 from repro.reliability.quarantine import QuarantinePolicy
@@ -310,7 +313,7 @@ class TestShardScheduler:
 
     def test_all_jobs_complete_across_shards(self):
         jobs = _jobs(4)
-        result = run_sharded(jobs, num_shards=2, workers_per_shard=2)
+        result = run_sharded(jobs, num_shards=2, max_workers=4)
         assert len(result.results) == len(jobs) and not result.pending
         assert all(r.status is SolveStatus.UNSAT for r in result.results)
         launched = sum(s["launched"] for s in result.shards.values())
@@ -321,7 +324,7 @@ class TestShardScheduler:
         skewed = [i for i in insts if shard_of(i.name, 2) == 0]
         assert len(skewed) >= 2, "suite must put >=2 instances on shard0"
         jobs = [BatchJob(i.name, i.problem, DIRECT) for i in skewed]
-        result = run_sharded(jobs, num_shards=2, workers_per_shard=1)
+        result = run_sharded(jobs, num_shards=2, max_workers=2)
         assert result.steals >= 1
         assert result.shards["shard1"]["stolen"] == result.steals
         assert len(result.results) == len(jobs) and not result.pending
@@ -329,7 +332,7 @@ class TestShardScheduler:
     def test_crashed_shard_worker_requeues_zero_lost(self):
         jobs = _jobs(3)
         result = run_sharded(
-            jobs, num_shards=2, workers_per_shard=1,
+            jobs, num_shards=2, max_workers=2,
             quarantine=FAST_QUARANTINE,
             faults=FaultPlan.parse("seed=3; crash@dist_shard:match=*/s1"))
         assert len(result.results) == len(jobs) and not result.pending
@@ -348,7 +351,7 @@ class TestShardScheduler:
         jobs = _jobs(2)
         duplicated = jobs + [BatchJob(jobs[0].instance, jobs[0].problem,
                                       jobs[0].strategy)]
-        result = run_sharded(duplicated, num_shards=2, workers_per_shard=1)
+        result = run_sharded(duplicated, num_shards=2, max_workers=2)
         assert len(result.results) == 3
         launched = sum(s["launched"] for s in result.shards.values())
         assert launched == 2  # the duplicate never dispatched
@@ -358,6 +361,55 @@ class TestShardScheduler:
             run_sharded([], num_shards=0)
         with pytest.raises(ValueError):
             run_sharded([], max_attempts=0)
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError):
+            run_sharded(_jobs(1), max_workers=0)
+
+    @pytest.mark.parametrize("max_workers,slots", [
+        (1, [1, 0]), (2, [1, 1]), (3, [2, 1])])
+    def test_worker_slots_sum_to_max_workers(self, max_workers, slots):
+        # A shard with no slot drains by being stolen from.
+        jobs = _jobs(3)
+        result = run_sharded(jobs, num_shards=2, max_workers=max_workers)
+        assert [s["slots"] for s in result.shards.values()] == slots
+        assert len(result.results) == len(jobs) and not result.pending
+        assert all(r.status is SolveStatus.UNSAT for r in result.results)
+
+    @pytest.mark.parametrize("runner,kwargs", [
+        (run_batch, {}), (run_sharded, {"num_shards": 2})],
+        ids=["run_batch", "run_sharded"])
+    def test_both_names_run_one_loop(self, runner, kwargs):
+        sat = ColoringProblem(cycle_graph(5), 3)
+        crasher = Strategy("muldirect", "s1")
+        jobs = [BatchJob("c5", sat, DIRECT),
+                BatchJob("c5-copy", sat, DIRECT),
+                BatchJob("k5", ColoringProblem(complete_graph(5), 4), DIRECT),
+                BatchJob("c7", ColoringProblem(cycle_graph(7), 3), crasher)]
+        obs.reset()
+        trace.enable()
+        try:
+            result = runner(
+                jobs, max_workers=2, audit=True, quarantine=FAST_QUARANTINE,
+                faults=FaultPlan.parse(
+                    f"seed=3; crash@arena:match={crasher.label}"),
+                **kwargs)
+            spans = [r for r in trace.tracer().drain_spans()
+                     if r["name"] == "dist.schedule"]
+        finally:
+            obs.reset()
+        table = {r.key: (r.status, r.attempts, r.engine)
+                 for r in result.results}
+        assert table == {
+            ("c5", DIRECT.label): (SolveStatus.SAT, 1, "arena"),
+            ("c5-copy", DIRECT.label): (SolveStatus.SAT, 1, "arena"),
+            ("k5", DIRECT.label): (SolveStatus.UNSAT, 1, "arena"),
+            ("c7", crasher.label): (SolveStatus.SAT, 2, "legacy"),
+        }
+        (span,) = spans
+        assert "steals" in span["attrs"] and span["attrs"]["deduped"] == 1
+        assert any(event["name"] == "job.requeued"
+                   for event in span["events"])
 
 
 # ----------------------------------------------------------------------
