@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke sched-dev bench bench-quick bench-smoke bench-scale bench-all examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke sched-dev bench bench-quick bench-smoke bench-all examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -91,10 +91,8 @@ serve-chaos:
 	PYTHONPATH=src python -m repro.serve.chaos
 
 # Distributed-solving smoke: a 2-shard work-stealing run with an
-# injected worker crash (zero lost jobs, legacy-engine fallback), a
-# clause-sharing portfolio under corrupt_share (filter must hold), and
-# a cubed run with crashing workers (every cube still closed).
-# Deterministic fault seeds; see docs/distributed.md.
+# injected worker crash (zero lost jobs, legacy-engine fallback).
+# Deterministic fault seed; see docs/distributed.md.
 dist-smoke:
 	PYTHONPATH=src python -m repro.dist.smoke
 
@@ -105,7 +103,6 @@ sched-dev:
 		tests/test_batch_runner.py \
 		tests/test_dist.py::TestShardScheduler \
 		tests/test_dist.py::TestBatchDedup \
-		tests/test_dist.py::TestRunJobs \
 		tests/test_chaos.py::TestBatchChaos
 
 bench:
@@ -123,14 +120,6 @@ bench-quick:
 bench-smoke:
 	PYTHONPATH=src python -m repro.bench.throughput --quick \
 		-o bench-smoke.json --check-floor benchmarks/floor.json
-
-# Distributed-solving scale bench: worker-scaling sweep (1/2/4 workers
-# over the hard-UNSAT suite, cube-and-conquer routing) plus the
-# clause-sharing-vs-racing duel; writes BENCH_scale.json at the
-# repository root.  Takes a few minutes; `--quick` (used by CI) checks
-# the shape on tiny instances in seconds.
-bench-scale:
-	PYTHONPATH=src python -m repro.bench.scale
 
 # The previous bench-quick: a scaled-down pass of every paper table.
 bench-all:

@@ -5,10 +5,9 @@ Measures raw unit-propagation speed of the CDCL engines
 with blocker literals, and :class:`~repro.sat.solver.legacy.LegacyCDCLSolver`,
 the pre-arena clause-object engine) *in the same process and the same run*,
 so the reported speedup is an apples-to-apples before/after comparison.
-The array-packed engine (``engine="packed"``) is also registered in
-:data:`_ENGINES` for ad-hoc races, though the reported suites pit arena
-against legacy (same trajectory) and arena against itself with
-inprocessing + tiered reduction (the conflict suite).
+The reported suites pit arena against legacy (same trajectory) and arena
+against itself with inprocessing + tiered reduction (the conflict
+suite).
 
 Three instance families:
 
@@ -55,7 +54,6 @@ from ..sat.cnf import CNF
 from ..sat.solver.cdcl import CDCLSolver
 from ..sat.solver.config import SolverConfig, preset
 from ..sat.solver.legacy import LegacyCDCLSolver
-from ..sat.solver.packed import PackedCDCLSolver
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +114,7 @@ def pigeonhole(holes: int) -> CNF:
 # Measurement
 # ----------------------------------------------------------------------
 
-_ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver,
-            "packed": PackedCDCLSolver}
+_ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver}
 
 
 def _stress_runner(cnf: CNF, config: SolverConfig, rounds: int):

@@ -148,66 +148,6 @@ class IncrementalColoringSolver:
         return low
 
 
-class AssumptionJobSolver:
-    """Persistent assumption-query solver over one encoded problem —
-    the cube-and-conquer worker core (:mod:`repro.dist.cubes`).
-
-    Where :class:`IncrementalColoringSolver` varies the *color count*
-    across queries, this varies the *assumption cube*: each call to
-    :meth:`solve_cube` asks "is the formula satisfiable under these
-    literals?" against a single persistent CDCL solver, so refuting one
-    cube keeps pruning the next (everything learned at the root
-    carries over — that work reduction, not core count, is where
-    cube-and-conquer wins on hard UNSAT instances).
-
-    Cube assumptions land on arbitrary encoding variables, so
-    inprocessing BVE is disabled (the solver refuses assumptions on
-    eliminated variables); the rest of the strategy's solver config —
-    engine, restarts, tier reduction — applies unchanged.  A clause
-    channel plugs the worker into cross-process sharing with its
-    sibling cube workers.
-    """
-
-    def __init__(self, problem: ColoringProblem, strategy: Strategy,
-                 limits: Optional[SolveLimits] = None,
-                 cancel: Optional[CancelToken] = None,
-                 clause_channel=None, encoded=None) -> None:
-        self.problem = problem
-        self.strategy = strategy
-        if encoded is None:
-            encoded = get_encoding(strategy.encoding).encode(problem)
-            apply_symmetry(encoded, strategy.symmetry)
-        self.encoded = encoded
-        config = strategy.solver_config(limits)
-        if config.inprocessing:
-            config.inprocess_bve = False
-        if clause_channel is not None:
-            config.clause_channel = clause_channel
-        self._solver = CDCLSolver(self.encoded.cnf, config)
-        self._cancel = cancel
-        self.queries = 0
-
-    @property
-    def stats(self) -> Dict[str, float]:
-        return self._solver.stats
-
-    def solve_cube(self, assumptions) -> SolveReport:
-        """One cube as an assumption query (budgets are per call)."""
-        result = self._solver.solve(list(assumptions), cancel=self._cancel)
-        self.queries += 1
-        report = result.report()
-        if result.is_sat:
-            self._last_model = result.model
-        return report
-
-    def decode(self) -> Dict[int, int]:
-        """The coloring decoded from the last SAT cube's model."""
-        coloring = self.encoded.decode(self._last_model)
-        if not self.problem.is_valid_coloring(coloring):
-            raise AssertionError("cube decode produced an invalid coloring")
-        return coloring
-
-
 def minimum_colors_incremental(problem: ColoringProblem,
                                strategy: Strategy) -> int:
     """One-call incremental chromatic-number search."""

@@ -86,8 +86,7 @@ def _worker_injector(faults, strategy: Strategy, extra_sites=()):
     without a report, a hang ignores the cancel token — exercising the
     parent's liveness polling and hard-termination backstops.
     ``extra_sites`` lets other process-pool layers reuse this resolution
-    (the batch scheduler's and the cube workers answer to ``dist_shard``
-    as well).
+    (the batch scheduler's workers answer to ``dist_shard`` as well).
     """
     import os
     if faults is None and not os.environ.get("REPRO_FAULTS"):
@@ -105,7 +104,7 @@ def _worker_injector(faults, strategy: Strategy, extra_sites=()):
 
 def _worker(problem: ColoringProblem, strategy: Strategy, queue: "mp.Queue",
             cancel_event, limits: Optional[SolveLimits],
-            faults=None, audit: bool = False, channel=None) -> None:
+            faults=None, audit: bool = False) -> None:
     # Fresh observability state for this process (fork inherits the
     # parent's buffers); the worker's spans and metrics travel back on
     # the result queue rather than being written here.
@@ -124,11 +123,6 @@ def _worker(problem: ColoringProblem, strategy: Strategy, queue: "mp.Queue",
             kwargs["faults"] = faults
         if audit:
             kwargs.update(keep_model=True, proof_log=True)
-        if channel is not None:
-            # Chaos faults on the channel itself (drop_share /
-            # corrupt_share) activate on the worker's own endpoint.
-            channel.bind_faults(faults, strategy.label)
-            kwargs["clause_channel"] = channel
         outcome = solve_coloring(problem, strategy, limits=limits,
                                  cancel=cancel, **kwargs)
         queue.put((strategy, outcome, None, obs.drain_telemetry()))
@@ -156,8 +150,7 @@ _CANCEL_GRACE_SECONDS = 2.0
 def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
                   timeout: Optional[float] = None,
                   limits: Optional[SolveLimits] = None,
-                  audit: bool = False, faults=None,
-                  share=None) -> PortfolioResult:
+                  audit: bool = False, faults=None) -> PortfolioResult:
     """Run every strategy in parallel; the first decided answer wins.
 
     ``timeout`` is the race deadline in seconds (shorthand for — and
@@ -184,40 +177,14 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
     :mod:`repro.reliability.faults`): None activates only the
     ``REPRO_FAULTS`` environment plan, a ``FaultPlan`` is used as
     given, ``False`` disables injection.
-
-    ``share`` upgrades the race to a *cooperative* portfolio: members
-    exchange short learned clauses through a bounded channel
-    (:mod:`repro.dist.sharing`), so the eventual winner benefits from
-    every loser's conflict analysis instead of discarding it.  Pass
-    True for the default :class:`~repro.dist.sharing.ShareConfig` or a
-    config instance to tune the caps.  Sharing is only sound between
-    members solving the *same* CNF, so every strategy must agree on
-    (encoding, symmetry); mixed portfolios must race uncooperatively.
-    With ``share=None`` (the default) nothing here changes and member
-    trajectories are bit-identical to the pre-sharing racer.
     """
     if not strategies:
         raise ValueError("a portfolio needs at least one strategy")
-    hub = None
-    if share is not None and share is not False and len(strategies) > 1:
-        shapes = {(s.encoding, s.symmetry) for s in strategies}
-        if len(shapes) > 1:
-            raise ValueError(
-                "clause sharing needs a uniform (encoding, symmetry) "
-                f"across members, got {sorted(shapes)}; run mixed "
-                "portfolios with share=None")
-        from ..dist.sharing import ClauseHub, ShareConfig
-        config = share if isinstance(share, ShareConfig) else None
-        hub = ClauseHub([s.label for s in strategies], config=config)
     with trace.span("portfolio.race", members=len(strategies),
                     strategies=",".join(s.label for s in strategies),
-                    audit=audit, sharing=hub is not None) as race_span:
-        try:
-            result = _race_in_span(race_span, problem, strategies, timeout,
-                                   limits, audit, faults, hub)
-        finally:
-            if hub is not None:
-                hub.close()
+                    audit=audit) as race_span:
+        result = _race_in_span(race_span, problem, strategies, timeout,
+                               limits, audit, faults)
         race_span.set("status", str(result.status))
         if result.winner is not None:
             race_span.set("winner", result.winner.label)
@@ -233,7 +200,7 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
 def _race_in_span(race_span, problem: ColoringProblem,
                   strategies: Sequence[Strategy],
                   timeout: Optional[float], limits: Optional[SolveLimits],
-                  audit: bool, faults, hub=None) -> PortfolioResult:
+                  audit: bool, faults) -> PortfolioResult:
     """:func:`run_portfolio` body, inside its already-open race span.
 
     Every lifecycle transition of the race — members launched, answers
@@ -254,11 +221,10 @@ def _race_in_span(race_span, problem: ColoringProblem,
     hard_deadline: Optional[float] = None
     processes: Dict[str, "mp.Process"] = {}
     for strategy in strategies:
-        channel = hub.endpoint(strategy.label) if hub is not None else None
         processes[strategy.label] = context.Process(
             target=_worker,
             args=(problem, strategy, queue, cancel_event, member_limits,
-                  faults, audit, channel),
+                  faults, audit),
             daemon=True)
     for process in processes.values():
         process.start()
@@ -305,10 +271,6 @@ def _race_in_span(race_span, problem: ColoringProblem,
 
     try:
         while winner is None and len(member_status) < len(processes):
-            if hub is not None:
-                # Fan exported clauses out to peer inboxes; bounded per
-                # iteration so the poll cadence is unaffected.
-                hub.pump()
             now = time.perf_counter()
             if deadline is not None and now >= deadline \
                     and not cancel_event.is_set():

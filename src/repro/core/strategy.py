@@ -10,10 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..sat.solver.config import SolverConfig, preset
+from ..sat.solver.config import ENGINES, SolverConfig, preset
 from ..sat.status import SolveLimits
 from .encodings.registry import get_encoding
 from .symmetry.heuristics import get_heuristic
+
+
+#: The engines a :class:`Strategy` can name: the solver engines plus
+#: the arena engine's inprocessing configuration.
+STRATEGY_ENGINES = ENGINES + ("arena+inprocess",)
 
 
 @dataclass(frozen=True)
@@ -24,12 +29,12 @@ class Strategy:
     symmetry: str = "none"
     solver: str = "siege_like"
     seed: int = 0
-    #: BCP engine: "arena" (default), the pre-arena "legacy" engine
-    #: (same search trajectory; the batch runner falls back to it when
-    #: a job fails in an arena-specific way), the typed-array "packed"
-    #: engine, or "arena+inprocess" — the arena engine with
-    #: inter-restart inprocessing and tiered DB reduction switched on
-    #: (the performance configuration for conflict-heavy instances).
+    #: One of :data:`STRATEGY_ENGINES`: "arena" (default), the
+    #: pre-arena "legacy" engine (same search trajectory; the batch
+    #: runner falls back to it when a job fails in an arena-specific
+    #: way), or "arena+inprocess" — the arena engine with inter-restart
+    #: inprocessing and tiered DB reduction switched on (opt-in: it wins
+    #: on conflict-heavy instances and loses on routing-size proofs).
     engine: str = "arena"
 
     def __post_init__(self) -> None:
@@ -37,8 +42,7 @@ class Strategy:
         get_heuristic(self.symmetry)
         if self.solver not in ("minisat_like", "siege_like"):
             raise ValueError(f"unknown solver preset {self.solver!r}")
-        if self.engine not in ("arena", "legacy", "packed",
-                               "arena+inprocess"):
+        if self.engine not in STRATEGY_ENGINES:
             raise ValueError(f"unknown solver engine {self.engine!r}")
 
     @property

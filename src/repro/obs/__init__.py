@@ -44,9 +44,12 @@ __all__ = [
 
 
 def worker_begin() -> None:
-    """Top of a worker process: clean tracing state (fork inherits the
-    parent's buffers), environment re-check for spawn workers."""
+    """Top of a worker process or job: clean tracing state and an empty
+    metrics registry (fork inherits the parent's, and a pool process
+    serves many jobs), environment re-check for spawn workers.  What
+    :func:`drain_telemetry` ships back is then this job's work alone."""
     trace.worker_begin()
+    metrics.registry().reset()
 
 
 def drain_telemetry():

@@ -35,7 +35,7 @@ from ..core.encodings.registry import (ALL_ENCODINGS, EXTENSION_ENCODINGS,
                                        MODERN_ENCODINGS, REGISTRY_ENCODINGS,
                                        TABLE2_ENCODINGS)
 from ..core.pipeline import ColoringOutcome, solve_coloring
-from ..core.strategy import Strategy
+from ..core.strategy import STRATEGY_ENGINES, Strategy
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..reliability.audit import AuditReport, audit_outcome
@@ -61,7 +61,7 @@ class StrategyMatrix:
 
         encodings=registry|all|table2|extensions|modern|<name>,...;
         symmetry=none,b1,s1,c1;
-        engine=arena,legacy,packed,arena+inprocess
+        engine=arena,legacy,arena+inprocess
 
     Unspecified dimensions keep the ``full`` defaults.  ``full`` now
     means the *whole registry* — the paper's 15 plus the seqdirect,
@@ -110,8 +110,7 @@ class StrategyMatrix:
         if spec == "engines":
             # Pure engine differential: one encoding, every engine.
             return cls(encodings=("muldirect",), symmetries=("none", "s1"),
-                       engines=("arena", "legacy", "packed",
-                                "arena+inprocess"))
+                       engines=STRATEGY_ENGINES)
         kwargs: Dict[str, Tuple[str, ...]] = {}
         for item in spec.split(";"):
             item = item.strip()

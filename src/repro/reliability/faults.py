@@ -81,29 +81,18 @@ slow_client
             the client sleeps ``seconds`` (default 50 ms) before each
             send — exercises server read robustness and per-request
             deadlines.
-drop_share  silently lose one clause exported to a sharing channel
-            (:mod:`repro.dist.sharing`) in transit — sharing is an
-            optimisation, so correctness must be unaffected; only the
-            export/import counters may disagree.
-corrupt_share
-            mangle one exported clause in transit by zeroing a
-            deterministically chosen literal (0 is never a valid DIMACS
-            literal, so a correct import filter *must* reject the
-            clause — a corrupt share reaching a solver's clause
-            database would be unsound).
 ========== ============================================================
 
-Sites: ``solver`` (all CDCL engines), ``arena`` / ``legacy`` /
-``packed`` (one specific engine — used to test the engine-fallback
-path), ``inprocess`` (the inter-restart simplification phases),
+Sites: ``solver`` (all CDCL engines), ``arena`` / ``legacy`` (one
+specific engine — used to test the engine-fallback path),
+``inprocess`` (the inter-restart simplification phases),
 ``encode`` (CNF generation in the pipeline), ``worker`` (the
 portfolio / batch worker process itself), ``serve_worker`` (the solve
 service's pool worker), ``journal`` (the serve request journal's
 appends), ``conn`` (the serve connection layer, both ends),
-``dist_shard`` (every batch worker of ``run_batch`` / ``run_sharded``,
-and the cube workers — the usual targets are ``crash`` and ``hang``),
-``clause_channel`` (the clause-sharing transport between portfolio /
-cube members), or ``*`` (everywhere).
+``dist_shard`` (every batch worker of ``run_batch`` / ``run_sharded``
+— the usual targets are ``crash`` and ``hang``), or ``*``
+(everywhere).
 
 ``REPRO_FAULTS`` grammar (items separated by ``;``)::
 
@@ -125,18 +114,18 @@ from fnmatch import fnmatch
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ParseError
+from ..sat.solver.config import ENGINES
 
 #: Recognised fault kinds (see module docstring).
 FAULT_KINDS = ("crash", "hang", "slowdown", "wrong_model",
                "truncated_proof", "corrupt_input", "drop_clause",
                "drop_resolvent", "skip_occurrence", "worker_hang",
-               "journal_torn_write", "conn_drop", "slow_client",
-               "drop_share", "corrupt_share")
+               "journal_torn_write", "conn_drop", "slow_client")
 
 #: Recognised injection sites.
-FAULT_SITES = ("*", "solver", "arena", "legacy", "packed", "inprocess",
-               "encode", "worker", "serve_worker", "journal", "conn",
-               "dist_shard", "clause_channel")
+FAULT_SITES = ("*", "solver") + ENGINES + (
+    "inprocess", "encode", "worker", "serve_worker", "journal", "conn",
+    "dist_shard")
 
 #: Environment variable consulted by the pipeline and the worker
 #: processes; its value is a :meth:`FaultPlan.parse` string.
@@ -461,33 +450,6 @@ class FaultInjector:
             return 0.0
         return (spec.seconds if spec.seconds is not None
                 else _DEFAULT_SLOW_CLIENT_SECONDS)
-
-    def maybe_drop_share(self) -> bool:
-        """True when a ``drop_share`` fault eats the clause being
-        exported to a sharing channel — the exporter cannot tell (the
-        loss is in transit), so it still counts the export."""
-        return self.fire("drop_share") is not None
-
-    def corrupt_share(self, lits: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        """A corrupted copy of a clause crossing a sharing channel, or
-        None when no ``corrupt_share`` fault fires.
-
-        Corruption zeroes one deterministically chosen literal: 0 is
-        never a valid DIMACS literal, so *any* correct import filter
-        must reject the clause outright.  (A subtler corruption — say a
-        sign flip — could silently produce a clause that is wrong but
-        well-formed; the channel carries redundant learned clauses, so
-        soundness demands rejecting malformed payloads, and this fault
-        proves the filter does.)
-        """
-        index = self._fire("corrupt_share")
-        if index < 0:
-            return None
-        if not lits:
-            return (0,)
-        mangled = list(lits)
-        mangled[self._rng(index).randrange(len(mangled))] = 0
-        return tuple(mangled)
 
     def wrong_model_var(self, num_vars: int) -> Optional[int]:
         """Variable to bit-flip in a SAT assignment, or None."""

@@ -14,8 +14,8 @@ from .proof import (ProofCheckResult, ProofError, check_rup_proof,
                     solve_with_proof, verify_rup_proof)
 from .simplify import Simplification, simplify, solve_simplified
 from .solver import (BudgetExceeded, CDCLSolver, DPLLSolver, LegacyCDCLSolver,
-                     PackedCDCLSolver, SolverConfig, minisat_like, preset,
-                     siege_like, solve, solve_by_enumeration, solve_dpll)
+                     SolverConfig, minisat_like, preset, siege_like, solve,
+                     solve_by_enumeration, solve_dpll)
 
 __all__ = [
     "CNF", "Clause", "parse_dimacs", "parse_dimacs_file", "parse_dimacs_string",
@@ -28,6 +28,6 @@ __all__ = [
     "verify_rup_proof",
     "Simplification", "simplify", "solve_simplified",
     "BudgetExceeded", "CDCLSolver", "DPLLSolver", "LegacyCDCLSolver",
-    "PackedCDCLSolver", "SolverConfig", "minisat_like", "preset",
-    "siege_like", "solve", "solve_by_enumeration", "solve_dpll",
+    "SolverConfig", "minisat_like", "preset", "siege_like", "solve",
+    "solve_by_enumeration", "solve_dpll",
 ]

@@ -32,10 +32,9 @@ the recorded UNSAT proof still replays through the independent checker
 in :mod:`repro.sat.proof` (clause *deletions* never invalidate a RUP
 proof because the checker only accumulates).
 
-The inprocessor mutates the solver's internal arena through the same
-small set of primitives both the arena and packed engines share
-(``_attach``, ``_delete_clause``, ``_enqueue``, ``_propagate``,
-``_cancel_until``), so one implementation serves both.  Fault-injection
+The inprocessor mutates the arena engine's clause database through a
+small set of its primitives (``_attach``, ``_delete_clause``,
+``_enqueue``, ``_propagate``, ``_cancel_until``).  Fault-injection
 hooks (site ``inprocess``): ``drop_resolvent`` silently omits one BVE
 resolvent and ``skip_occurrence`` deletes one clause as if a stale
 occurrence entry had matched — both weaken the formula the way a real

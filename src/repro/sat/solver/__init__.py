@@ -8,11 +8,9 @@ from .enumerate import (all_models, count_models, enumerate_models,
                         solve_by_enumeration)
 from .legacy import LegacyCDCLSolver
 from .luby import luby, luby_prefix
-from .packed import PackedCDCLSolver
 
 __all__ = [
-    "BudgetExceeded", "CDCLSolver", "LegacyCDCLSolver",
-    "PackedCDCLSolver", "solve",
+    "BudgetExceeded", "CDCLSolver", "LegacyCDCLSolver", "solve",
     "CancelToken", "SolveLimits", "SolveReport", "SolveStatus",
     "PRESETS", "SolverConfig", "minisat_like", "preset", "siege_like",
     "DPLLSolver", "solve_dpll",

@@ -123,9 +123,6 @@ class CDCLSolver:
             if config.engine == "legacy":
                 from .legacy import LegacyCDCLSolver
                 return LegacyCDCLSolver(cnf, config)
-            if config.engine == "packed":
-                from .packed import PackedCDCLSolver
-                return super().__new__(PackedCDCLSolver)
         return super().__new__(cls)
 
     def __init__(self, cnf: CNF, config: Optional[SolverConfig] = None) -> None:
@@ -805,12 +802,6 @@ class CDCLSolver:
         if injector is not None:
             injector.maybe_hang()
             injector.maybe_crash()
-        if self.config.clause_channel is not None:
-            # Sharing counters exist whenever a channel is configured,
-            # even on calls that end before the main loop.
-            for key in ("shared_exported", "shared_imported",
-                        "shared_discarded"):
-                self.stats.setdefault(key, 0)
         self._props_at_start = self.stats["propagations"]
         self._cancel_until(0)  # fresh call on a reused solver
         self.stats.pop("assumption_failed", None)
@@ -846,12 +837,6 @@ class CDCLSolver:
         bounded = (conflict_budget is not None
                    or propagation_budget is not None
                    or deadline is not None or cancel is not None)
-        # Clause sharing: with a channel configured, short learned
-        # clauses are exported after conflict analysis and peer clauses
-        # imported at restart boundaries.  `share is None` on the normal
-        # path — every hook below is guarded on it, so an unshared run
-        # keeps a bit-identical trajectory.
-        share = config.clause_channel
         restart_index = 1
         if config.restart_policy == "luby":
             restart_limit = luby(restart_index) * config.restart_base
@@ -906,6 +891,10 @@ class CDCLSolver:
                     raise BudgetExceeded(
                         f"conflict budget {config.max_conflicts} exhausted")
                 if not self._trail_lim:
+                    # A root-level conflict refutes the formula itself:
+                    # remember it, or the next call (whose propagation
+                    # starts past this conflict) would report a model.
+                    self._ok = False
                     return self._finish(SolveStatus.UNSAT, start)
                 if timing:
                     t0 = time.perf_counter()
@@ -932,8 +921,6 @@ class CDCLSolver:
                     self._bump_clause(ref)
                     self._enqueue(learnt[0], ref)
                 self.stats["learned_clauses"] += 1
-                if share is not None:
-                    self._share_export(share, learnt)
                 self._var_inc /= config.var_decay
                 self._clause_inc /= config.clause_decay
             else:
@@ -958,8 +945,6 @@ class CDCLSolver:
                         restart_limit *= config.restart_factor
                     max_learnts *= config.max_learnts_growth
                     self._cancel_until(0)
-                    if share is not None and not self._import_shared(share):
-                        return self._finish(SolveStatus.UNSAT, start)
                     if inpro is not None and self.stats["restarts"] \
                             % config.inprocess_interval == 0:
                         self._run_inprocess(frozen, deadline)
@@ -1014,86 +999,6 @@ class CDCLSolver:
                     code = 2 * var if self._saved_phase[var] else 2 * var + 1
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(code, -1)
-
-    def _share_export(self, share, learnt) -> None:
-        """Offer the just-learned clause to the sharing channel.
-
-        Called with the conflict-time literal codes, *before* any decay
-        bookkeeping, while ``self._level`` still holds the pre-backtrack
-        levels (same window the tier policy reads its LBD from).  Only
-        short, low-LBD clauses cross the channel — those carry the most
-        pruning power per byte and keep peers' databases small.
-        """
-        if len(learnt) > share.export_max_length:
-            return
-        if len(learnt) == 1:
-            lbd = 1
-        else:
-            level = self._level
-            lbd = len({level[q >> 1] for q in learnt})
-            if lbd > share.export_max_lbd:
-                return
-        lits = tuple(q >> 1 if not q & 1 else -(q >> 1) for q in learnt)
-        if share.export(lits, lbd):
-            self.stats["shared_exported"] += 1
-
-    def _import_shared(self, share) -> bool:
-        """Adopt peer-learned clauses from the sharing channel.
-
-        Called at restart boundaries, where the solver sits at the root
-        level, so imported clauses can be simplified against root-level
-        assignments: satisfied clauses are skipped, root-false literals
-        dropped, units enqueued directly, and an all-false clause
-        refutes the formula (returns False → UNSAT).  Clauses touching
-        BVE-eliminated variables are rejected — the local formula no
-        longer constrains those variables, so attaching such a clause
-        would be unsound after model extension.  Shared clauses are
-        consequences of the common formula (1UIP analysis never resolves
-        on assumption pseudo-decisions), so imports are sound even
-        between solvers running under different assumption cubes.
-        """
-        values = self._values
-        eliminated = self._eliminated
-        imported = discarded = 0
-        ok = True
-        for lits, lbd in share.take():
-            codes = []
-            satisfied = False
-            usable = True
-            for lit in lits:
-                var = lit if lit > 0 else -lit
-                if not 1 <= var <= self.num_vars or eliminated[var]:
-                    usable = False
-                    break
-                code = 2 * var if lit > 0 else 2 * var + 1
-                value = values[code]
-                if value == _TRUE:
-                    satisfied = True
-                    break
-                if value == _FALSE:
-                    continue  # root-falsified literal: drop it
-                codes.append(code)
-            if not usable or satisfied:
-                discarded += 1
-                continue
-            imported += 1
-            if not codes:
-                # Every literal is root-false: the shared clause closes
-                # the formula.  (Reachable when two peers export
-                # contradictory units.)
-                self._ok = False
-                ok = False
-                break
-            if len(codes) == 1:
-                self._enqueue(codes[0], -1)
-            else:
-                ref = self._attach(codes, learnt=True)
-                if self._tier_on:
-                    self._lbd[ref] = min(lbd, len(codes))
-                self._bump_clause(ref)
-        self.stats["shared_imported"] += imported
-        self.stats["shared_discarded"] += discarded
-        return ok
 
     def _run_inprocess(self, frozen: set, deadline) -> None:
         """One inprocessing pass at the root level (timed when

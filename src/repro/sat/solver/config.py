@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+#: The CDCL engines a :class:`SolverConfig` can select.
+ENGINES = ("arena", "legacy")
+
+
 @dataclass
 class SolverConfig:
     """Tunable parameters of the CDCL solver.
@@ -74,15 +78,6 @@ class SolverConfig:
         by the audit layer so its re-solves cannot be faulted).  With
         no plan active the solver takes the exact same code path as
         before this field existed.
-    clause_channel:
-        Clause-sharing channel (see :mod:`repro.dist.sharing`): ``None``
-        (default) disables sharing and keeps the solver's trajectory
-        bit-identical to an unshared run; otherwise an object with the
-        channel protocol (``export_max_length`` / ``export_max_lbd``
-        attributes plus ``export(lits, lbd)`` and ``take()``).  Short
-        learned clauses are exported after conflict analysis and peer
-        clauses imported at restart boundaries (the solver is at root
-        level there, so imports need no backtracking bookkeeping).
     proof_log:
         When True, the solver records every learned clause (a DRUP-style
         clausal proof).  On UNSAT the recorded sequence, terminated by the
@@ -90,16 +85,12 @@ class SolverConfig:
         :func:`repro.sat.proof.check_rup_proof` — turning "provably
         unroutable" into a checkable certificate.
     engine:
-        ``"arena"`` (default) selects the flat clause-arena BCP engine;
-        ``"legacy"`` selects the pre-arena clause-object engine kept as a
-        performance baseline; ``"packed"`` selects the array-packed
-        variant of the arena engine (typed-array trail/reason/value
-        state, watch lists as flat ``array`` pairs with the blocker
-        literal inline).  ``arena`` and ``legacy`` follow the exact
-        same search trajectory (identical decision/conflict counts);
-        ``packed`` is deterministic and answer-equivalent but its
-        inline blockers may go stale (MiniSat-style), so its
-        trajectory — pinned by its own fixtures — can diverge.
+        One of :data:`ENGINES`.  ``"arena"`` (default) selects the flat
+        clause-arena BCP engine; ``"legacy"`` selects the pre-arena
+        clause-object engine, kept as the batch runner's fallback, the
+        audit's independent UNSAT cross-check and the performance
+        baseline.  Both follow the exact same search trajectory
+        (identical decision/conflict counts).
     inprocessing:
         Master switch for inter-restart inprocessing (off by default so
         unflagged trajectories stay bit-identical).  When on, the solver
@@ -186,14 +177,9 @@ class SolverConfig:
     #: than an Optional[FaultPlan] annotation keeps this module free of
     #: reliability imports (the engines resolve it lazily).
     fault_plan: object = None
-    #: None = no clause sharing (the default, trajectory-neutral);
-    #: otherwise a channel endpoint from :mod:`repro.dist.sharing`.
-    #: ``object`` for the same reason as ``fault_plan``: the solver
-    #: package must not import the dist layer.
-    clause_channel: object = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("arena", "legacy", "packed"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown solver engine {self.engine!r}")
         if self.reduce_policy not in ("activity", "tier"):
             raise ValueError(f"unknown reduce policy {self.reduce_policy!r}")

@@ -451,6 +451,10 @@ class LegacyCDCLSolver:
                     raise BudgetExceeded(
                         f"conflict budget {config.max_conflicts} exhausted")
                 if not self._trail_lim:
+                    # A root-level conflict refutes the formula itself:
+                    # remember it, or the next call (whose propagation
+                    # starts past this conflict) would report a model.
+                    self._ok = False
                     return self._finish(SolveStatus.UNSAT, start)
                 learnt, back_level = self._analyze(conflict)
                 if config.proof_log:

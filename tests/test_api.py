@@ -145,7 +145,7 @@ class TestWire:
 
     def test_strategy_codec_round_trip(self):
         strategy = Strategy("muldirect", "b1", solver="minisat_like",
-                            seed=3, engine="packed")
+                            seed=3, engine="legacy")
         assert strategy_from_wire(strategy_to_wire(strategy)) == strategy
 
     def test_limits_codec_round_trip(self):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.sat import (CNF, BudgetExceeded, CDCLSolver, SolverConfig,
-                       minisat_like, siege_like, solve, solve_by_enumeration)
+                       SolveStatus, minisat_like, siege_like, solve,
+                       solve_by_enumeration)
 from .strategies import make_random_cnf, small_cnfs
 
 
@@ -107,6 +108,17 @@ class TestSearch:
                             minisat_like(restart_base=10))
         assert not solver.solve().is_sat
         assert solver.stats["restarts"] > 0
+
+    @pytest.mark.parametrize("engine", ["arena", "legacy"])
+    def test_refuted_formula_stays_unsat_on_reuse(self, engine):
+        # A root-level conflict proves the formula UNSAT; later calls on
+        # the same solver, with or without assumptions, must agree.
+        solver = CDCLSolver(pigeonhole(4), SolverConfig(engine=engine))
+        assert solver.solve().status is SolveStatus.UNSAT
+        assert solver.solve().status is SolveStatus.UNSAT
+        again = solver.solve(assumptions=[1, -2])
+        assert again.status is SolveStatus.UNSAT
+        assert "assumption_failed" not in solver.stats
 
 
 class TestConfigurations:

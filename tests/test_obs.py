@@ -178,6 +178,50 @@ class TestCrossProcessPlumbing:
         assert trace.tracer().enabled             # but still record
 
 
+class TestWorkerMetricsCountOnce:
+    """A forked batch worker starts from an empty registry, so merging
+    what it ships back counts its own work once and never re-adds the
+    parent's counters it inherited."""
+
+    def _run(self, **batch_kwargs):
+        from repro.bench.batch import BatchJob, run_batch
+        from repro.coloring import ColoringProblem, cycle_graph
+        from repro.core import Strategy
+
+        obs_metrics.enable()
+        registry = obs_metrics.registry()
+        registry.inc("parent.marker", 100)
+        strategy = Strategy("direct", "s1")
+        jobs = [BatchJob(f"c{n}", ColoringProblem(cycle_graph(n), 3),
+                         strategy) for n in range(5, 11)]
+        result = run_batch(jobs, max_workers=2, **batch_kwargs)
+        assert len(result.results) == len(jobs)
+        return registry.snapshot()["counters"], len(jobs)
+
+    def test_plain_batch(self):
+        counters, jobs = self._run()
+        assert counters["parent.marker"] == 100
+        assert counters["solver.solves"] == jobs
+        assert counters["pipeline.solves"] == jobs
+
+    def test_sharded_batch_with_requeues(self):
+        from repro.reliability.faults import FaultPlan
+        from repro.reliability.quarantine import QuarantinePolicy
+
+        # Every first attempt dies before solving; the retry runs on
+        # the legacy engine.
+        counters, jobs = self._run(
+            num_shards=2,
+            quarantine=QuarantinePolicy(threshold=3, base_backoff=0.05,
+                                        max_backoff=0.2),
+            faults=FaultPlan.parse("seed=3; crash@dist_shard:match=*/s1"))
+        assert counters["parent.marker"] == 100
+        assert counters["dist.requeues"] == jobs
+        assert counters["solver.solves"] == jobs
+        assert counters["solver.solves.legacy"] == jobs
+        assert counters["pipeline.solves"] == jobs
+
+
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):
         reg = obs_metrics.MetricsRegistry()

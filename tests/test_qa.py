@@ -114,7 +114,7 @@ class TestStrategyMatrix:
 
     def test_engines_preset_races_engines(self):
         assert StrategyMatrix.parse("engines").engines == \
-            ("arena", "legacy", "packed", "arena+inprocess")
+            ("arena", "legacy", "arena+inprocess")
 
     def test_full_default_covers_whole_registry(self):
         assert set(StrategyMatrix().encodings) == set(REGISTRY_ENCODINGS)

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.api import SolveRequest
+from repro.coloring import cycle_graph
 from repro.coloring.problem import Graph
 from repro.obs import metrics as obs_metrics
 from repro.reliability.quarantine import QuarantinePolicy
@@ -193,6 +194,28 @@ class TestSolveServiceEndToEnd:
             assert not reply["ok"] and "invalid request" in reply["error"]
             # The connection survives; the service still answers.
             assert client.ping()["protocol"] == "repro-serve/1"
+
+
+class TestServeMetricsCountOnce:
+    def test_worker_counters_equal_jobs(self):
+        # Pool processes are reused across jobs; each job ships back
+        # its own counters only.
+        service, thread = start_service(port=0, workers=1)
+        obs_metrics.registry().inc("parent.marker", 100)
+        requests = [SolveRequest(graph=cycle_graph(n), colors=3)
+                    for n in range(5, 9)]
+        requests.append(SolveRequest(graph=triangle(), colors=2))
+        with ServeClient(port=service.port) as client:
+            for request in requests:
+                assert client.solve(request).status.decided
+            counters = client.metrics()["metrics"]["counters"]
+            client.shutdown()
+        thread.join(timeout=30)
+        assert counters["parent.marker"] == 100
+        assert counters["solver.solves"] == len(requests)
+        assert counters["pipeline.solves"] == len(requests)
+        assert counters["serve.jobs.SAT"] + counters["serve.jobs.UNSAT"] \
+            == len(requests)
 
 
 class TestDrainingShutdown:

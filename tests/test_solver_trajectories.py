@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.throughput import pigeonhole, random_3sat
-from repro.sat import CNF, CDCLSolver, LegacyCDCLSolver, PackedCDCLSolver
+from repro.sat import CNF, CDCLSolver, LegacyCDCLSolver
 from repro.sat.solver.config import preset
 
 FIXTURES = json.loads(
@@ -116,61 +116,6 @@ def test_modern_encoding_trajectories(modern_routing_cnfs, name, engine):
         assert _triple(modern_routing_cnfs[name], engine, preset_name) \
             == FIXTURES["modern"][name][preset_name], \
             f"{engine}/{preset_name} drifted on {name}"
-
-
-class TestPackedTrajectories:
-    """The packed engine keeps MiniSat-style *stale* inline blockers,
-    so its search trajectory legitimately differs from arena/legacy —
-    it gets its own pinned fixtures instead of sharing theirs.  What
-    must hold unconditionally: determinism (same seed, same run) and
-    answer agreement with the arena engine."""
-
-    @pytest.mark.parametrize("name", RANDOM_SPECS)
-    def test_random_cnf_trajectories(self, name):
-        nv, nc, seed = RANDOM_SPECS[name]
-        cnf = random_3sat(nv, nc, seed)
-        for preset_name in PRESETS:
-            solver = PackedCDCLSolver(cnf.copy(), preset(preset_name))
-            result = solver.solve()
-            triple = [bool(result.is_sat),
-                      int(solver.stats["decisions"]),
-                      int(solver.stats["conflicts"])]
-            assert triple == FIXTURES["packed"]["random"][name][preset_name]
-
-    @pytest.mark.parametrize("holes", [5, 6])
-    def test_pigeonhole_trajectories(self, holes):
-        cnf = pigeonhole(holes)
-        for preset_name in PRESETS:
-            solver = PackedCDCLSolver(cnf.copy(), preset(preset_name))
-            result = solver.solve()
-            triple = [bool(result.is_sat),
-                      int(solver.stats["decisions"]),
-                      int(solver.stats["conflicts"])]
-            assert triple \
-                == FIXTURES["packed"]["pigeonhole"][f"php-{holes}"][preset_name]
-
-    def test_packed_is_deterministic(self):
-        cnf = random_3sat(60, 250, 2)
-        runs = []
-        for _ in range(2):
-            solver = PackedCDCLSolver(cnf.copy(), preset("minisat_like"))
-            solver.solve()
-            runs.append({key: solver.stats[key]
-                         for key in ("decisions", "conflicts",
-                                     "propagations", "watch_inspections",
-                                     "learned_clauses", "restarts")})
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("name", RANDOM_SPECS)
-    def test_packed_agrees_with_arena(self, name):
-        nv, nc, seed = RANDOM_SPECS[name]
-        cnf = random_3sat(nv, nc, seed)
-        arena = CDCLSolver(cnf.copy(), preset("minisat_like")).solve()
-        packed_solver = PackedCDCLSolver(cnf.copy(), preset("minisat_like"))
-        packed = packed_solver.solve()
-        assert packed.is_sat == arena.is_sat
-        if packed.is_sat:
-            assert packed.model.satisfies(cnf)
 
 
 @pytest.mark.parametrize("preset_name", PRESETS)

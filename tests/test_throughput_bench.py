@@ -71,8 +71,8 @@ def test_bench_cli_quick(tmp_path, capsys):
     assert "headline BCP speedup" in capsys.readouterr().out
 
 
-def test_all_three_engines_registered():
-    assert set(_ENGINES) == {"arena", "legacy", "packed"}
+def test_both_engines_registered():
+    assert set(_ENGINES) == {"arena", "legacy"}
 
 
 def test_conflict_configs_flags():
